@@ -50,7 +50,7 @@ pub enum PutMode {
     /// First writer wins: if a *different* value is already stored under the
     /// key, the put is rejected and the existing value returned. The P2P-Log
     /// uses this so the log itself arbitrates duelling masters (a hardening
-    /// extension documented in DESIGN.md §6).
+    /// extension; see ARCHITECTURE.md, "Message flow: one stamped edit").
     FirstWriter,
     /// Epoch-ranked arbitration: the value's embedded rank (see
     /// `storage::value_rank`) must clear the key's fence floor; a higher

@@ -166,7 +166,8 @@ impl ChordNode {
     ///
     /// True iff `key ∈ (pred, me]`; a singleton ring owns everything. With
     /// an unknown predecessor we answer `true` conservatively — the KTS
-    /// layer adds epoch fencing on top (see DESIGN.md).
+    /// layer adds epoch fencing on top (see ARCHITECTURE.md, "Grant
+    /// fencing and master epochs").
     pub fn is_responsible(&self, key: Id) -> bool {
         if !self.joined {
             return false;

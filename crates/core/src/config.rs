@@ -5,7 +5,9 @@ use kts::KtsConfig;
 use p2plog::LogConfig;
 use simnet::Duration;
 
-/// Log garbage-collection settings (extension; see DESIGN.md §6).
+/// Log garbage-collection settings (extension: trims the log that the
+/// retrieval procedure reads; see ARCHITECTURE.md, "Message flow: one
+/// stamped edit").
 #[derive(Clone, Debug)]
 pub struct GcConfig {
     /// Sweep period.

@@ -247,6 +247,9 @@ pub struct LtrNode {
 
     pub(crate) chord: ChordNode,
     pub(crate) kts: KtsMaster,
+    /// The ring view (successor, predecessor) the master's fences were
+    /// raised under; a change drops them (`KtsMaster::on_ring_change`).
+    ring_view: Option<(NodeRef, Option<NodeRef>)>,
 
     /// The durable journal (see the `store` crate). [`store::NullStore`]
     /// by default: journaling entirely disabled, behaviour byte-identical.
@@ -328,6 +331,7 @@ impl LtrNode {
             start_delay,
             chord,
             kts,
+            ring_view: None,
             store,
             journaling,
             docs: BTreeMap::new(),
@@ -480,6 +484,16 @@ impl LtrNode {
         ReqId(self.req_seq)
     }
 
+    /// Hand the master a moved ring view: the first view is only noted,
+    /// any later change drops its grant fences.
+    fn check_ring_view(&mut self, ctx: &mut Ctx<'_, Payload>) {
+        let view = (self.chord.successor(), self.chord.predecessor());
+        if self.ring_view.replace(view).is_some_and(|old| old != view) {
+            let acts = self.kts.on_ring_change();
+            self.apply_master_actions(ctx, acts);
+        }
+    }
+
     pub(crate) fn record(&mut self, at: Time, kind: LtrEventKind) {
         self.events.push(LtrEvent { at, kind });
     }
@@ -629,6 +643,7 @@ impl Process<Payload> for LtrNode {
             Payload::Chord(m) => {
                 let actions = self.chord.handle(ctx.now(), from, m);
                 self.apply_chord_actions(ctx, actions);
+                self.check_ring_view(ctx);
             }
             Payload::Kts(m) => self.on_kts_msg(ctx, from, m),
             Payload::Cmd(cmd) => self.on_user_cmd(ctx, cmd),
@@ -642,6 +657,7 @@ impl Process<Payload> for LtrNode {
             if let Some(t) = ChordTimer::decode(tag >> 1) {
                 let actions = self.chord.on_timer(ctx.now(), t);
                 self.apply_chord_actions(ctx, actions);
+                self.check_ring_view(ctx);
             }
         } else if let Some(timer) = self.timer_tags.remove(&tag) {
             self.on_core_timer(ctx, timer);

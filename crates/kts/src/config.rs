@@ -5,7 +5,7 @@
 pub struct KtsConfig {
     /// Verify `last_ts` against the log before first serving a key this
     /// node has no state for (guards against double failures; see
-    /// DESIGN.md §6).
+    /// ARCHITECTURE.md, "The recovery path").
     pub probe_unknown_keys: bool,
     /// Verify `last_ts` against the log when promoting a Master-Succ backup
     /// (the backup may lag an in-flight grant).

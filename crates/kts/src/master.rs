@@ -72,6 +72,13 @@ pub enum MasterAction {
     /// Raise a grant fence at the Log-Peers of slot `last_ts + 1` with
     /// floor `epoch`, then call [`KtsMaster::fence_done`] with the quorum
     /// outcome (fenced mode only).
+    ///
+    /// Fences run one slot ahead: a grant of slot `ts` emits this with
+    /// `last_ts = ts` in the same batch as its [`MasterAction::BeginPublish`],
+    /// so the fan-out for `ts + 1` overlaps the publish of `ts` and the next
+    /// grant finds its slot already fenced. A fence is also raised on
+    /// demand, at `last_ts + 1`, when a queued request finds no fence in
+    /// force (fresh entry, promotion, restore, re-probe, failed publish).
     BeginFence {
         /// Completion token.
         token: u64,
@@ -161,15 +168,21 @@ pub enum FenceOutcome {
 }
 
 /// Per-key fence progress (fenced mode only; `NotNeeded` in legacy mode).
+///
+/// A fence covers one slot under one floor, both recorded with the state:
+/// it is raised for slot `ts + 1` while slot `ts` publishes, so it may run
+/// ahead of `last_ts` by one. Slot `last_ts + 1` is granted only while its
+/// fence is `Acked` at the entry's current epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FenceState {
     /// Legacy mode: grants are served unfenced.
     NotNeeded,
-    /// The next slot must be fenced before the next grant.
+    /// No fence is in force for the next slot; one must be raised (on
+    /// demand) before the next grant.
     Pending,
-    /// A fence fan-out is outstanding.
+    /// A fence fan-out for the covered slot is outstanding.
     InFlight,
-    /// The next slot is fenced under this entry's epoch.
+    /// The covered slot is fenced under the covered epoch.
     Acked,
 }
 
@@ -189,7 +202,30 @@ enum Phase {
     Ready,
     Publishing,
     Probing,
-    Fencing,
+}
+
+/// An entry's fence: how far it got, the slot and floor it covers, and
+/// the token of the fan-out still out for it. A completion counts only
+/// while it carries that token and the entry still runs the covered
+/// epoch: a handoff, restore, failed publish, probe or ring change
+/// drops or re-raises the fence, so a stale `fence_done` never acks it.
+#[derive(Clone, Copy, Debug)]
+struct Fence {
+    state: FenceState,
+    slot: u64,
+    epoch: u64,
+    token: u64,
+}
+
+impl Fence {
+    fn born(state: FenceState) -> Self {
+        Fence {
+            state,
+            slot: 0,
+            epoch: 0,
+            token: 0,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -200,8 +236,25 @@ struct KeyEntry {
     phase: Phase,
     /// Verified against the log at least once (or born fresh here).
     probed: bool,
-    fence: FenceState,
+    fence: Fence,
     queue: VecDeque<QueuedValidate>,
+}
+
+impl KeyEntry {
+    /// Whether the fence covers the next slot under the current epoch
+    /// and has reached `state`.
+    fn next_slot_fence_is(&self, state: FenceState) -> bool {
+        self.fence.state == state
+            && self.fence.slot == self.last_ts + 1
+            && self.fence.epoch == self.epoch
+    }
+
+    /// Drop the fence: the next grant must raise a fresh one.
+    fn reset_fence(&mut self) {
+        if self.fence.state != FenceState::NotNeeded {
+            self.fence = Fence::born(FenceState::Pending);
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -221,16 +274,6 @@ struct InflightPublish {
     user: NodeRef,
 }
 
-/// Bookkeeping for one outstanding fence fan-out. The epoch pins the
-/// completion to the entry generation that issued it: a handoff or
-/// restore bumps the epoch, so a stale `fence_done` can never ack the
-/// successor entry's fence.
-#[derive(Clone, Copy, Debug)]
-struct InflightFence {
-    key: Id,
-    epoch: u64,
-}
-
 /// The Master-key role state for one node (it may master many keys).
 pub struct KtsMaster {
     cfg: KtsConfig,
@@ -242,7 +285,7 @@ pub struct KtsMaster {
     // probes, so iteration order must be deterministic too.
     inflight: BTreeMap<u64, InflightPublish>,
     probing: BTreeMap<u64, Id>,
-    fencing: BTreeMap<u64, InflightFence>,
+    fencing: BTreeMap<u64, Id>,
     token_seq: u64,
     acts: Vec<MasterAction>,
 }
@@ -300,7 +343,7 @@ impl KtsMaster {
     /// The fence state of an authoritative entry (test / model-checker
     /// oracle).
     pub fn fence_state(&self, key: Id) -> Option<FenceState> {
-        self.entries.get(&key).map(|e| e.fence)
+        self.entries.get(&key).map(|e| e.fence.state)
     }
 
     fn token(&mut self) -> u64 {
@@ -398,12 +441,12 @@ impl KtsMaster {
     /// starts every entry `Pending` — even a genuinely fresh document must
     /// fence slot 1 before its first grant, or a partitioned rival could
     /// serve it concurrently.
-    fn born_fence(&self) -> FenceState {
-        if self.cfg.fencing {
+    fn born_fence(&self) -> Fence {
+        Fence::born(if self.cfg.fencing {
             FenceState::Pending
         } else {
             FenceState::NotNeeded
-        }
+        })
     }
 
     /// Create (or promote from backup) the entry for `key`.
@@ -480,26 +523,16 @@ impl KtsMaster {
                 let _ = token;
                 return;
             }
-            if self.cfg.fencing && entry.fence != FenceState::Acked && !entry.queue.is_empty() {
+            if self.cfg.fencing && !entry.next_slot_fence_is(FenceState::Acked) {
                 // Fence the next slot before serving anything. The probe
                 // above ran first, so `last_ts` is log-verified and the
                 // fence lands where the next grant will go. Demand-driven
                 // (queue non-empty): an idle key with unreachable log
                 // peers must not spin fence retries forever.
-                entry.phase = Phase::Fencing;
-                entry.fence = FenceState::InFlight;
-                let name = entry.key_name.clone();
-                let epoch = entry.epoch;
-                let last_ts = entry.last_ts;
-                let t = self.token();
-                self.fencing.insert(t, InflightFence { key, epoch });
-                self.acts.push(MasterAction::BeginFence {
-                    token: t,
-                    key,
-                    key_name: name,
-                    epoch,
-                    last_ts,
-                });
+                if !entry.queue.is_empty() && !entry.next_slot_fence_is(FenceState::InFlight) {
+                    let last_ts = entry.last_ts;
+                    self.raise_fence(key, last_ts);
+                }
                 return;
             }
             let req = match entry.queue.pop_front() {
@@ -567,8 +600,37 @@ impl KtsMaster {
                 epoch,
                 patch: req.patch,
             });
+            if self.cfg.fencing {
+                // Pipeline the next slot's fence with this publish: the
+                // fence at `ts + 1` touches none of slot `ts`'s log
+                // locations, and a rival that overtakes this publish is
+                // refused by the ranked put at the owner, fence or not.
+                self.raise_fence(key, ts);
+            }
             return;
         }
+    }
+
+    /// Fan a fence out at slot `last_ts + 1` under the entry's epoch.
+    fn raise_fence(&mut self, key: Id, last_ts: u64) {
+        let token = self.token();
+        let Some(entry) = self.entries.get_mut(&key) else {
+            return;
+        };
+        entry.fence = Fence {
+            state: FenceState::InFlight,
+            slot: last_ts + 1,
+            epoch: entry.epoch,
+            token,
+        };
+        self.fencing.insert(token, key);
+        self.acts.push(MasterAction::BeginFence {
+            token,
+            key,
+            key_name: entry.key_name.clone(),
+            epoch: entry.epoch,
+            last_ts,
+        });
     }
 
     /// The embedding layer finished the log replication for `token`.
@@ -627,12 +689,6 @@ impl KtsMaster {
                     let entry = self.entries.get_mut(&key).expect("checked above");
                     entry.last_ts = inflight.ts;
                     entry.phase = Phase::Ready;
-                    // The fence that covered this slot is consumed by the
-                    // grant; the *next* slot lives at different log
-                    // locations and must be fenced anew.
-                    if entry.fence == FenceState::Acked {
-                        entry.fence = FenceState::Pending;
-                    }
                     (
                         HandoffEntry {
                             key,
@@ -674,8 +730,8 @@ impl KtsMaster {
                 if let Some(entry) = self.entries.get_mut(&key) {
                     entry.phase = Phase::Ready;
                     entry.probed = false;
-                    if entry.fence != FenceState::NotNeeded {
-                        entry.fence = FenceState::Pending;
+                    if entry.fence.state != FenceState::NotNeeded {
+                        entry.reset_fence();
                         entry.epoch += 1;
                     }
                 }
@@ -698,9 +754,9 @@ impl KtsMaster {
                 // epoch and fork the log.
                 if let Some(entry) = self.entries.get_mut(&key) {
                     entry.phase = Phase::Ready;
-                    if entry.fence != FenceState::NotNeeded {
+                    if entry.fence.state != FenceState::NotNeeded {
                         entry.probed = false;
-                        entry.fence = FenceState::Pending;
+                        entry.reset_fence();
                         entry.epoch += 1;
                     }
                 }
@@ -740,79 +796,99 @@ impl KtsMaster {
                 }
                 // The probe may have moved `last_ts`, relocating the next
                 // slot — any earlier fence no longer covers it.
-                entry.fence = FenceState::Pending;
+                entry.reset_fence();
             }
         }
         self.pump(key);
         self.drain()
     }
 
-    /// The embedding layer finished the fence fan-out for `token`.
+    /// The embedding layer finished the fence fan-out for `token`. The
+    /// fan-out may end while the previous slot still publishes (the fence
+    /// runs one slot ahead); the verdict then only updates the fence, and
+    /// `publish_done` serves the queue.
     pub fn fence_done(&mut self, token: u64, outcome: FenceOutcome) -> Vec<MasterAction> {
-        let inflight = match self.fencing.remove(&token) {
-            Some(f) => f,
+        let key = match self.fencing.remove(&token) {
+            Some(k) => k,
             None => return self.drain(),
         };
-        let key = inflight.key;
-        // Stale completion: the entry was handed off / restored (epoch
-        // bumped) or exported while the fan-out was in flight. Its current
-        // incarnation runs its own fence; this verdict proves nothing.
-        let live = self
-            .entries
-            .get(&key)
-            .is_some_and(|e| e.epoch == inflight.epoch && e.phase == Phase::Fencing);
-        if !live {
-            return self.drain();
-        }
-        match outcome {
-            FenceOutcome::Acked { occupied: false } => {
-                // Liveness-checked above: the entry exists.
-                if let Some(entry) = self.entries.get_mut(&key) {
-                    entry.phase = Phase::Ready;
-                    entry.fence = FenceState::Acked;
-                }
+        // Stale completion: the entry was handed off, restored or
+        // exported, or its fence was dropped (failed publish, probe) or
+        // re-raised while the fan-out was in flight. Its current fence is
+        // another fan-out's business; this verdict proves nothing.
+        let entry = match self.entries.get_mut(&key) {
+            Some(e)
+                if e.fence.state == FenceState::InFlight
+                    && e.fence.token == token
+                    && e.fence.epoch == e.epoch =>
+            {
+                e
             }
+            _ => return self.drain(),
+        };
+        match outcome {
+            FenceOutcome::Acked { occupied: false } => entry.fence.state = FenceState::Acked,
             FenceOutcome::Acked { occupied: true } => {
                 // The slot we fenced already holds a record: a grant landed
                 // there before the floor went up. Our `last_ts` lags the
                 // log — re-probe, then fence the true next slot.
-                let entry = self.entries.get_mut(&key).expect("checked live");
-                entry.phase = Phase::Ready;
-                entry.fence = FenceState::Pending;
+                entry.reset_fence();
                 entry.probed = false;
             }
             FenceOutcome::Superseded { current } => {
                 // A newer master epoch holds the floor: stand down. The
                 // entry demotes to a backup carrying the winning epoch so
-                // a later re-promotion starts strictly above it.
-                let entry = self.entries.remove(&key).expect("checked live");
-                self.backups.insert(
-                    key,
-                    Backup {
-                        key_name: entry.key_name,
-                        last_ts: entry.last_ts,
-                        epoch: current.max(entry.epoch),
-                    },
-                );
-                for q in entry.queue {
-                    self.acts.push(MasterAction::Send(
-                        q.user.addr,
-                        KtsMsg::Redirect { op: q.op },
-                    ));
+                // a later re-promotion starts strictly above it. A publish
+                // still in flight is answered by `publish_done` from its
+                // own bookkeeping — the log's verdict on it stands.
+                if let Some(entry) = self.entries.remove(&key) {
+                    self.backups.insert(
+                        key,
+                        Backup {
+                            key_name: entry.key_name,
+                            last_ts: entry.last_ts,
+                            epoch: current.max(entry.epoch),
+                        },
+                    );
+                    for q in entry.queue {
+                        self.acts.push(MasterAction::Send(
+                            q.user.addr,
+                            KtsMsg::Redirect { op: q.op },
+                        ));
+                    }
+                    self.acts
+                        .push(MasterAction::Event(MasterEvent::StaleDetected { key }));
                 }
-                self.acts
-                    .push(MasterAction::Event(MasterEvent::StaleDetected { key }));
                 return self.drain();
             }
             FenceOutcome::Unreachable => {
-                // Retry on the next pump; the per-op timeouts of the
-                // fan-out pace the retries.
-                let entry = self.entries.get_mut(&key).expect("checked live");
-                entry.phase = Phase::Ready;
-                entry.fence = FenceState::Pending;
+                // Retry on the next pump with a queued request; the per-op
+                // timeouts of the fan-out pace the retries.
+                entry.reset_fence();
             }
         }
         self.pump(key);
+        self.drain()
+    }
+
+    /// This node's view of the ring moved (its successor or predecessor
+    /// changed). A fence is a floor at whichever peers owned its slot's
+    /// log locations when the fan-out was routed; under another view the
+    /// next publish may reach owners that never saw it. Every fence is
+    /// dropped, and keys with queued requests raise a fresh one. Running
+    /// one slot ahead keeps an acked fence across a whole idle gap, long
+    /// enough for the view to change under it.
+    pub fn on_ring_change(&mut self) -> Vec<MasterAction> {
+        let mut waiting = Vec::new();
+        for (key, e) in self.entries.iter_mut() {
+            e.reset_fence();
+            if !e.queue.is_empty() {
+                waiting.push(*key);
+            }
+        }
+        for key in waiting {
+            self.pump(key);
+        }
         self.drain()
     }
 
@@ -1611,8 +1687,77 @@ mod tests {
                 .any(|a| matches!(a, MasterAction::BeginPublish { .. })),
             "no publish before the fence is acked"
         );
+        // The grant of slot 1 raises slot 2's fence in the same batch.
+        let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
+        let t1 = publish_token(&acts);
+        let (ft2, epoch2, last2) = fence_req(&acts);
+        assert_eq!((epoch2, last2), (1, 1), "pipelined fence for slot 2");
+        assert_eq!(m.fence_state(key()), Some(FenceState::InFlight));
+        // A second request queues behind the publish; slot 2's fence acks
+        // while slot 1 is still publishing.
+        let acts = m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(2),
+            1,
+            patch(),
+            user(2),
+            true,
+        );
+        assert!(acts.is_empty(), "queued behind the publish: {acts:?}");
+        let acts = m.fence_done(ft2, FenceOutcome::Acked { occupied: false });
+        assert!(acts.is_empty(), "the ack alone serves nothing: {acts:?}");
+        assert_eq!(m.fence_state(key()), Some(FenceState::Acked));
+        // Slot 1's publish completes and slot 2 publishes at once, with
+        // slot 3's fence riding along.
+        let acts = m.publish_done(t1, PublishOutcome::Ok);
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            MasterAction::Send(
+                _,
+                KtsMsg::Granted {
+                    ts: 1,
+                    epoch: 1,
+                    ..
+                }
+            )
+        )));
+        assert!(acts.iter().any(|a| matches!(
+            a,
+            MasterAction::BeginPublish {
+                ts: 2,
+                epoch: 1,
+                ..
+            }
+        )));
+        let (_, epoch3, last3) = fence_req(&acts);
+        assert_eq!((epoch3, last3), (1, 2));
+    }
+
+    #[test]
+    fn superseded_pipelined_fence_mid_publish_still_grants() {
+        let mut m = KtsMaster::new(cfg_fence_only());
+        let acts = m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(1),
+            0,
+            patch(),
+            user(1),
+            true,
+        );
+        let (ft, _, _) = fence_req(&acts);
         let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
         let t = publish_token(&acts);
+        let (ft2, _, _) = fence_req(&acts);
+        // A newer epoch already holds slot 2's floor: demote mid-publish.
+        let acts = m.fence_done(ft2, FenceOutcome::Superseded { current: 4 });
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, MasterAction::Event(MasterEvent::StaleDetected { .. }))));
+        assert_eq!(m.mastered_count(), 0, "demoted");
+        assert_eq!(m.backup_count(), 1);
+        // Slot 1's publish was accepted by the log: the grant stands.
         let acts = m.publish_done(t, PublishOutcome::Ok);
         assert!(acts.iter().any(|a| matches!(
             a,
@@ -1625,7 +1770,38 @@ mod tests {
                 }
             )
         )));
-        // The consumed fence does not cover slot 2: the next grant re-fences.
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, MasterAction::Event(MasterEvent::Granted { ts: 1, .. }))));
+    }
+
+    #[test]
+    fn unreachable_pipelined_fence_waits_for_demand() {
+        let mut m = KtsMaster::new(cfg_fence_only());
+        let acts = m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(1),
+            0,
+            patch(),
+            user(1),
+            true,
+        );
+        let (ft, _, _) = fence_req(&acts);
+        let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
+        let t = publish_token(&acts);
+        let (ft2, _, _) = fence_req(&acts);
+        m.publish_done(t, PublishOutcome::Ok);
+        // The key is idle when slot 2's fence comes back unreachable: no
+        // retry until a request needs the slot.
+        let acts = m.fence_done(ft2, FenceOutcome::Unreachable);
+        assert!(
+            !acts
+                .iter()
+                .any(|a| matches!(a, MasterAction::BeginFence { .. })),
+            "idle key must not retry: {acts:?}"
+        );
+        assert_eq!(m.fence_state(key()), Some(FenceState::Pending));
         let acts = m.on_validate(
             key(),
             &DocName::new("doc"),
@@ -1635,8 +1811,12 @@ mod tests {
             user(1),
             true,
         );
-        let (_, epoch2, last2) = fence_req(&acts);
-        assert_eq!((epoch2, last2), (1, 1));
+        let (ft3, epoch, last_ts) = fence_req(&acts);
+        assert_ne!(ft3, ft2);
+        assert_eq!((epoch, last_ts), (1, 1));
+        assert!(!acts
+            .iter()
+            .any(|a| matches!(a, MasterAction::BeginPublish { .. })));
     }
 
     #[test]
@@ -1722,6 +1902,53 @@ mod tests {
         // The queued request still needs serving: a fresh fan-out fires.
         let (ft2, _, _) = fence_req(&acts);
         assert_ne!(ft2, ft);
+    }
+
+    #[test]
+    fn ring_change_drops_fences() {
+        let mut m = KtsMaster::new(cfg_fence_only());
+        let acts = m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(1),
+            0,
+            patch(),
+            user(1),
+            true,
+        );
+        let (ft, _, _) = fence_req(&acts);
+        let acts = m.fence_done(ft, FenceOutcome::Acked { occupied: false });
+        let t = publish_token(&acts);
+        let (ft2, _, _) = fence_req(&acts);
+        m.fence_done(ft2, FenceOutcome::Acked { occupied: false });
+        m.publish_done(t, PublishOutcome::Ok);
+        assert_eq!(m.fence_state(key()), Some(FenceState::Acked));
+        // The idle key's acked fence does not survive a new ring view.
+        assert!(m.on_ring_change().is_empty(), "idle: nothing to re-raise");
+        assert_eq!(m.fence_state(key()), Some(FenceState::Pending));
+        let acts = m.on_validate(
+            key(),
+            &DocName::new("doc"),
+            ReqId(2),
+            1,
+            patch(),
+            user(1),
+            true,
+        );
+        let (ft3, epoch, last_ts) = fence_req(&acts);
+        assert_eq!((epoch, last_ts), (1, 1), "same epoch, fresh fan-out");
+        // A queued request re-raises at once, and the superseded
+        // fan-out's verdict is ignored.
+        let acts = m.on_ring_change();
+        let (ft4, _, _) = fence_req(&acts);
+        assert_ne!(ft4, ft3);
+        assert!(m
+            .fence_done(ft3, FenceOutcome::Acked { occupied: false })
+            .is_empty());
+        let acts = m.fence_done(ft4, FenceOutcome::Acked { occupied: false });
+        assert!(acts
+            .iter()
+            .any(|a| matches!(a, MasterAction::BeginPublish { ts: 2, .. })));
     }
 
     #[test]

@@ -3,15 +3,21 @@
 //! A truthful single-key "world" executes the master's actions against a
 //! model of the log — per-slot records and per-slot fence floors, exactly
 //! the arbitration `chord::Storage` implements — while a rival master and
-//! crash/handoff events interleave arbitrarily. The model checker asserts
-//! the fencing invariants on the full action stream:
+//! crash/handoff events interleave arbitrarily. The master raises slot
+//! `t + 1`'s fence while slot `t` publishes, so the model keeps one
+//! acknowledged window per slot, and fences and publishes complete in any
+//! order relative to each other. The model checker asserts the fencing
+//! invariants on the full action stream:
 //!
 //! 1. **epoch never regresses**: the epochs the master stamps on fences,
 //!    publishes and grants are non-decreasing across crashes, handoffs,
 //!    demotions and re-promotions;
 //! 2. **no grant inside an unacknowledged fence window**: every
-//!    `BeginPublish` targets exactly the slot and floor of the currently
-//!    acknowledged fence;
+//!    `BeginPublish` targets a slot whose fence was acknowledged at
+//!    exactly the publish's epoch, by a fence raised since the master last
+//!    lost the right to trust its earlier fences (a failed publish, a
+//!    crash, a handoff or a ring change) — a stale acknowledgement never
+//!    authorises a grant;
 //! 3. **no equivocation**: every successful publish lands at the global
 //!    log frontier — two records never share a timestamp.
 
@@ -19,7 +25,8 @@ use bytes::Bytes;
 use chord::DocName;
 use chord::{Id, NodeRef};
 use kts::{
-    FenceOutcome, HandoffEntry, KtsConfig, KtsMaster, KtsMsg, MasterAction, PublishOutcome, ReqId,
+    FenceOutcome, FenceState, HandoffEntry, KtsConfig, KtsMaster, KtsMsg, MasterAction,
+    PublishOutcome, ReqId,
 };
 use proptest::prelude::*;
 use simnet::NodeId;
@@ -41,9 +48,16 @@ struct FencedWorld {
     /// Outstanding completions (token, slot, epoch) in issue order.
     publishes: Vec<(u64, u64, u64)>,
     probes: Vec<u64>,
-    fences: Vec<(u64, u64, u64)>,
-    /// Model: the currently acknowledged fence window (slot, floor).
-    acked: Option<(u64, u64)>,
+    /// Outstanding fences (token, slot, floor, generation) in issue order.
+    fences: Vec<(u64, u64, u64, u64)>,
+    /// Model: acknowledged fence windows, slot -> floor. A window closes
+    /// when its slot's publish completes.
+    acked: BTreeMap<u64, u64>,
+    /// Model: bumped whenever the master must stop trusting the fences it
+    /// raised so far (a failed publish, a crash, a handoff, a ring
+    /// change). An ack of a fence from an older generation opens no
+    /// window.
+    generation: u64,
     /// Model: highest epoch the master has emitted so far.
     max_master_epoch: u64,
     /// Successful grants in order.
@@ -62,7 +76,8 @@ impl FencedWorld {
             publishes: Vec::new(),
             probes: Vec::new(),
             fences: Vec::new(),
-            acked: None,
+            acked: BTreeMap::new(),
+            generation: 0,
             max_master_epoch: 0,
             granted: Vec::new(),
             violations: Vec::new(),
@@ -101,10 +116,10 @@ impl FencedWorld {
                     token, ts, epoch, ..
                 } => {
                     self.note_epoch("BeginPublish", epoch);
-                    if self.acked != Some((ts, epoch)) {
+                    if self.acked.get(&ts) != Some(&epoch) {
                         self.violations.push(format!(
                             "grant outside the fence window: publish (ts {ts}, epoch {epoch}) \
-                             but acked fence is {:?}",
+                             but acked fences are {:?}",
                             self.acked
                         ));
                     }
@@ -118,7 +133,8 @@ impl FencedWorld {
                     ..
                 } => {
                     self.note_epoch("BeginFence", epoch);
-                    self.fences.push((token, last_ts + 1, epoch));
+                    self.fences
+                        .push((token, last_ts + 1, epoch, self.generation));
                 }
                 MasterAction::Send(_, KtsMsg::Granted { epoch, .. }) => {
                     self.note_epoch("Granted", epoch);
@@ -160,17 +176,27 @@ impl FencedWorld {
 
     /// Complete the oldest fence truthfully against the floors table.
     fn complete_fence(&mut self) {
-        if self.fences.is_empty() {
+        self.complete_fence_at(0);
+    }
+
+    /// Complete the newest fence first (fan-outs to different slots race).
+    fn complete_newest_fence(&mut self) {
+        self.complete_fence_at(self.fences.len().saturating_sub(1));
+    }
+
+    fn complete_fence_at(&mut self, i: usize) {
+        if i >= self.fences.len() {
             return;
         }
-        let (token, slot, floor) = self.fences.remove(0);
+        let (token, slot, floor, generation) = self.fences.remove(i);
         let cur = self.floors.get(&slot).copied().unwrap_or(0);
         let outcome = if floor >= cur {
             self.floors.insert(slot, floor);
-            self.acked = Some((slot, floor));
-            FenceOutcome::Acked {
-                occupied: self.log.contains_key(&slot),
+            let occupied = self.log.contains_key(&slot);
+            if !occupied && generation == self.generation {
+                self.acked.insert(slot, floor);
             }
+            FenceOutcome::Acked { occupied }
         } else {
             FenceOutcome::Superseded { current: cur }
         };
@@ -178,31 +204,72 @@ impl FencedWorld {
         self.absorb(acts);
     }
 
-    /// Complete the oldest publish truthfully: ranked first-writer
-    /// arbitration — an occupied slot or a higher floor rejects the put.
+    /// The oldest fence fan-out reaches no quorum.
+    fn fail_fence(&mut self) {
+        if self.fences.is_empty() {
+            return;
+        }
+        let (token, ..) = self.fences.remove(0);
+        let acts = self.master.fence_done(token, FenceOutcome::Unreachable);
+        self.absorb(acts);
+    }
+
+    /// Store a publish's record if ranked first-writer arbitration lets
+    /// it in: an occupied slot or a higher floor rejects the put.
+    fn land(&mut self, ts: u64, epoch: u64) -> bool {
+        let floor = self.floors.get(&ts).copied().unwrap_or(0);
+        if self.log.contains_key(&ts) || floor > epoch {
+            return false;
+        }
+        if ts != self.log_high() + 1 {
+            self.violations.push(format!(
+                "equivocation window: publish lands at {ts} but the log frontier is {}",
+                self.log_high()
+            ));
+        }
+        self.log.insert(ts, epoch);
+        true
+    }
+
+    /// A publish ended without a clean verdict: every fence the master
+    /// raised so far is void.
+    fn void_fences(&mut self) {
+        self.acked.clear();
+        self.generation += 1;
+    }
+
+    /// Complete the oldest publish truthfully.
     fn complete_publish(&mut self) {
         if self.publishes.is_empty() {
             return;
         }
         let (token, ts, epoch) = self.publishes.remove(0);
-        let floor = self.floors.get(&ts).copied().unwrap_or(0);
-        let outcome = if self.log.contains_key(&ts) || floor > epoch {
-            // A rival outranked us after our ack: storage arbitration
-            // rejects the put and the master learns it is stale.
-            PublishOutcome::Conflict
-        } else {
-            if ts != self.log_high() + 1 {
-                self.violations.push(format!(
-                    "equivocation window: publish lands at {ts} but the log frontier is {}",
-                    self.log_high()
-                ));
-            }
-            self.log.insert(ts, epoch);
+        self.acked.remove(&ts); // the fence window is consumed either way
+        let outcome = if self.land(ts, epoch) {
             self.granted.push(ts);
             PublishOutcome::Ok
+        } else {
+            // A rival outranked us after our ack: storage arbitration
+            // rejects the put and the master learns it is stale.
+            self.void_fences();
+            PublishOutcome::Conflict
         };
-        self.acked = None; // the fence window is consumed either way
         let acts = self.master.publish_done(token, outcome);
+        self.absorb(acts);
+    }
+
+    /// The oldest publish times out; its puts may still have `landed`.
+    fn fail_publish(&mut self, landed: bool) {
+        if self.publishes.is_empty() {
+            return;
+        }
+        let (token, ts, epoch) = self.publishes.remove(0);
+        self.acked.remove(&ts);
+        if landed {
+            self.land(ts, epoch);
+        }
+        self.void_fences();
+        let acts = self.master.publish_done(token, PublishOutcome::Unreachable);
         self.absorb(acts);
     }
 
@@ -214,6 +281,14 @@ impl FencedWorld {
         let token = self.probes.remove(0);
         let (high, epoch) = (self.log_high(), self.log_epoch());
         let acts = self.master.probe_done(token, high, epoch);
+        self.absorb(acts);
+    }
+
+    /// The master's ring view moves: fences raised under the old view
+    /// prove nothing about the owners the next publish reaches.
+    fn ring_change(&mut self) {
+        self.void_fences();
+        let acts = self.master.on_ring_change();
         self.absorb(acts);
     }
 
@@ -236,7 +311,7 @@ impl FencedWorld {
         self.publishes.clear();
         self.probes.clear();
         self.fences.clear();
-        self.acked = None; // the new instance must fence for itself
+        self.void_fences(); // the new instance must fence for itself
     }
 
     /// Graceful handoff to a fresh master instance.
@@ -253,8 +328,8 @@ impl FencedWorld {
         let (entries, acts) = self.master.export_all();
         self.absorb(acts);
         self.master = KtsMaster::new(KtsConfig::default());
+        self.void_fences();
         let acts = self.master.on_table_handoff(entries);
-        self.acked = None;
         self.absorb(acts);
     }
 
@@ -273,13 +348,13 @@ impl FencedWorld {
 }
 
 proptest! {
-    /// Arbitrary interleavings of validations, truthful completions,
-    /// crashes (with journal lag), handoffs and rival grants: the fencing
-    /// invariants hold on the entire action stream, and the log stays
-    /// gap-free and equivocation-free.
+    /// Arbitrary interleavings of validations, truthful and failed
+    /// completions, crashes (with journal lag), handoffs, ring changes
+    /// and rival grants: the fencing invariants hold on the entire action
+    /// stream, and the log stays gap-free and equivocation-free.
     #[test]
     fn fencing_invariants_hold_under_interleaving(
-        script in prop::collection::vec(0u8..11, 1..150),
+        script in prop::collection::vec(0u8..16, 1..150),
     ) {
         let mut w = FencedWorld::new();
         for step in script {
@@ -291,7 +366,12 @@ proptest! {
                 7 => w.complete_probe(),
                 8 => w.crash_restore(1),
                 9 => w.handoff(),
-                _ => w.rival_grant(),
+                10 => w.rival_grant(),
+                11 => w.complete_newest_fence(),
+                12 => w.fail_fence(),
+                13 => w.fail_publish(false),
+                14 => w.fail_publish(true),
+                _ => w.ring_change(),
             }
         }
         // Drain whatever is still outstanding, truthfully.
@@ -328,5 +408,100 @@ proptest! {
         prop_assert!(w.violations.is_empty(), "violations: {:#?}", w.violations);
         let expect: Vec<u64> = (1..=rounds).collect();
         prop_assert_eq!(&w.granted, &expect);
+    }
+}
+
+/// Drive a fresh world to its first grant: probe, fence slot 1, and start
+/// publishing slot 1 with slot 2's fence in flight alongside.
+fn world_publishing_slot_1() -> FencedWorld {
+    let mut w = FencedWorld::new();
+    w.validate_synced();
+    w.complete_probe();
+    w.complete_fence();
+    assert_eq!(
+        w.publishes.iter().map(|p| (p.1, p.2)).collect::<Vec<_>>(),
+        vec![(1, 1)]
+    );
+    assert_eq!(
+        w.fences.iter().map(|f| (f.1, f.2)).collect::<Vec<_>>(),
+        vec![(2, 1)],
+        "slot 2's fence rides along with slot 1's publish"
+    );
+    w
+}
+
+/// Interleaving (a): slot `t + 1`'s fence acks before slot `t`'s publish
+/// completes; the next request then publishes without another fence
+/// round-trip.
+#[test]
+fn pipelined_fence_acks_before_publish_completes() {
+    let mut w = world_publishing_slot_1();
+    w.complete_fence();
+    assert_eq!(w.master.fence_state(KEY), Some(FenceState::Acked));
+    assert_eq!(w.publishes.len(), 1, "an ack alone publishes nothing");
+    w.complete_publish();
+    w.validate_synced();
+    assert_eq!(
+        w.publishes.iter().map(|p| (p.1, p.2)).collect::<Vec<_>>(),
+        vec![(2, 1)],
+        "slot 2 publishes straight away"
+    );
+    w.complete_publish();
+    assert!(w.violations.is_empty(), "violations: {:#?}", w.violations);
+    assert_eq!(w.granted, vec![1, 2]);
+}
+
+/// Interleaving (b): slot `t`'s publish fails (rival conflict, or a
+/// timeout whose puts did or did not land) while slot `t + 1`'s fence is
+/// in flight. Whenever that fence's verdict arrives — before the master
+/// re-probes, after it re-fences, or after the fresh fence acked — it
+/// never authorises a grant, and a stale `Superseded` never demotes the
+/// master. The next grant waits for a fresh fence under the bumped epoch.
+#[test]
+fn stale_pipelined_ack_never_authorises_a_grant() {
+    for failure in 0..3 {
+        for timing in 0..3 {
+            let mut w = world_publishing_slot_1();
+            match failure {
+                0 => {
+                    w.rival_grant();
+                    w.complete_publish();
+                }
+                1 => w.fail_publish(false),
+                _ => w.fail_publish(true),
+            }
+            let bumped = w.master.entry_epoch(KEY).expect("still master");
+            assert!(bumped > 1, "a failed publish bumps the epoch");
+            let case = format!("failure {failure}, timing {timing}");
+            if timing == 0 {
+                // The stale verdict lands while the master re-probes.
+                w.complete_fence();
+            }
+            w.validate_synced();
+            w.complete_probe();
+            assert!(w.publishes.is_empty(), "{case}: {:?}", w.publishes);
+            let fresh = *w.fences.last().expect("fresh fence raised");
+            assert!(fresh.2 >= bumped, "{case}: fresh fence at the bumped epoch");
+            if timing == 1 {
+                // The stale verdict lands before the fresh one.
+                w.complete_fence();
+                assert!(w.publishes.is_empty(), "{case}: {:?}", w.publishes);
+                assert_eq!(w.master.fence_state(KEY), Some(FenceState::InFlight));
+            }
+            w.complete_newest_fence();
+            assert_eq!(
+                w.publishes.iter().map(|p| (p.1, p.2)).collect::<Vec<_>>(),
+                vec![(fresh.1, fresh.2)],
+                "{case}"
+            );
+            // Drain: any stale verdict left comes last.
+            while !w.fences.is_empty() || !w.publishes.is_empty() {
+                w.complete_fence();
+                w.complete_publish();
+            }
+            assert!(w.master.entry_epoch(KEY).is_some(), "{case}: demoted");
+            assert!(w.violations.is_empty(), "{case}: {:#?}", w.violations);
+            assert_eq!(w.log.len() as u64, w.log_high(), "{case}: gap-free log");
+        }
     }
 }
