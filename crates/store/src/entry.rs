@@ -265,6 +265,42 @@ mod tests {
         }
     }
 
+    /// Every variant's on-disk bytes, pinned: segments on disk and the
+    /// Merkle leaves over them (`leaf_hash`) depend on this layout.
+    #[test]
+    fn frozen_encodings() {
+        fn cat(parts: &[&[u8]]) -> Vec<u8> {
+            parts.concat()
+        }
+        let expect: Vec<Vec<u8>> = vec![
+            cat(&[&[0], &[7, 0, 0, 0, 0, 0, 0, 0], &[12], b"record-bytes"]),
+            cat(&[&[1], &[0xFF; 8], &[0]]),
+            cat(&[&[2], &[0; 8]]),
+            cat(&[&[3], &[42, 0, 0, 0, 0, 0, 0, 0]]),
+            // key, name, last_ts = 17, epoch = 3
+            cat(&[
+                &[4],
+                &[9, 0, 0, 0, 0, 0, 0, 0],
+                &[9],
+                b"wiki/Main",
+                &[17, 3],
+            ]),
+            cat(&[
+                &[5],
+                &[10, 0, 0, 0, 0, 0, 0, 0],
+                &[12],
+                "página/Ωλ".as_bytes(),
+                &[0, 1],
+            ]),
+            cat(&[&[6], &[0, 0, 0, 0, 0, 1, 0, 0]]),
+            cat(&[&[7], &[11], b"notes/today", &[14], b"# heading\nbody"]),
+            // key, floor = 4, origin = 0xABCD as a varint
+            cat(&[&[8], &[77, 0, 0, 0, 0, 0, 0, 0], &[4], &[0xCD, 0xD7, 0x02]]),
+        ];
+        let got: Vec<Vec<u8>> = samples().iter().map(Encode::to_wire).collect();
+        assert_eq!(got, expect);
+    }
+
     #[test]
     fn unknown_tag_rejected() {
         assert!(matches!(

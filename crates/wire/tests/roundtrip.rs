@@ -13,6 +13,8 @@
 //! corpus covers every variant and the awkward sizes (empty vecs, huge
 //! ids, unicode names), and `proptest!` sweeps the seeds.
 
+use std::collections::BTreeSet;
+
 use bytes::Bytes;
 use chord::{ChordMsg, DocName, Id, NodeRef, OpId, PutMode};
 use kts::{HandoffEntry, KtsMsg, ReqId, ValidateFailure};
@@ -71,8 +73,22 @@ fn arb_items(rng: &mut Rng64) -> Vec<(Id, Bytes)> {
     (0..n).map(|_| (arb_id(rng), arb_bytes(rng))).collect()
 }
 
+fn arb_digest(rng: &mut Rng64) -> [u8; 20] {
+    let mut d = [0u8; 20];
+    for b in &mut d {
+        *b = rng.gen_below(256) as u8;
+    }
+    d
+}
+
+/// Draws `0..n` elements from `f` (`n < 6`).
+fn arb_vec<T>(rng: &mut Rng64, mut f: impl FnMut(&mut Rng64) -> T) -> Vec<T> {
+    let n = rng.gen_below(6) as usize;
+    (0..n).map(|_| f(rng)).collect()
+}
+
 fn arb_chord_msg(rng: &mut Rng64) -> ChordMsg {
-    match rng.gen_below(17) {
+    match rng.gen_below(21) {
         0 => ChordMsg::FindSuccessor {
             op: OpId(arb_u64(rng)),
             target: arb_id(rng),
@@ -139,7 +155,35 @@ fn arb_chord_msg(rng: &mut Rng64) -> ChordMsg {
         14 => ChordMsg::LeaveToPred {
             succ_of_leaver: arb_node_ref(rng),
         },
-        15 => ChordMsg::Fence {
+        15 => ChordMsg::SyncRoot {
+            ver: arb_u64(rng),
+            from: arb_id(rng),
+            to: arb_id(rng),
+            root: arb_digest(rng),
+        },
+        16 => ChordMsg::SyncDiff {
+            ver: arb_u64(rng),
+            wants: arb_vec(rng, |r| (r.gen_below(256) as u8, arb_u64(r) as u32)),
+            need: arb_vec(rng, arb_id),
+        },
+        17 => ChordMsg::SyncNodes {
+            ver: arb_u64(rng),
+            nodes: arb_vec(rng, |r| {
+                (
+                    r.gen_below(256) as u8,
+                    arb_u64(r) as u32,
+                    arb_vec(r, |r| (r.gen_below(16) as u8, arb_digest(r))),
+                )
+            }),
+            leaves: arb_vec(rng, |r| {
+                (
+                    arb_u64(r) as u32,
+                    arb_vec(r, |r| (arb_id(r), arb_digest(r))),
+                )
+            }),
+        },
+        18 => ChordMsg::SyncAck { ver: arb_u64(rng) },
+        19 => ChordMsg::Fence {
             op: OpId(arb_u64(rng)),
             key: arb_id(rng),
             floor: arb_u64(rng),
@@ -340,6 +384,27 @@ proptest! {
         }
         prop_assert_eq!(got, frames);
     }
+}
+
+/// The generators reach every tag of the codec over a fixed seed range,
+/// so the properties above exercise every variant.
+#[test]
+fn generators_cover_every_tag() {
+    fn tags_hit<M: Encode>(salt: u64, gen: fn(&mut Rng64) -> M) -> Vec<u8> {
+        let mut hit = BTreeSet::new();
+        for seed in 0..64 {
+            let mut rng = Rng64::new(seed ^ salt);
+            for _ in 0..16 {
+                hit.insert(gen(&mut rng).to_wire()[0]);
+            }
+        }
+        hit.into_iter().collect()
+    }
+    assert_eq!(
+        tags_hit(0xC0DEC, arb_chord_msg),
+        (0..21).collect::<Vec<u8>>()
+    );
+    assert_eq!(tags_hit(0x2B15, arb_kts_msg), (0..9).collect::<Vec<u8>>());
 }
 
 /// A pathological prefix every decoder must survive: maximal length
