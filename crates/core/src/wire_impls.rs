@@ -4,113 +4,29 @@
 //! `wire` crate's codecs; user commands (the client API surface) encode
 //! here.
 //!
-//! Tags are frozen: `Chord = 0`, `Kts = 1`, `Cmd = 2`; within `Cmd`:
-//! `OpenDoc = 0`, `Edit = 1`, `Sync = 2`, `Leave = 3`. Append, never
-//! renumber.
+//! Both enums are declared as `wire::codec_table!` rows: to add a command
+//! or a protocol layer, append a row with the next unused tag and
+//! regenerate `TAGS.lock` with `cargo run -p detlint -- --write-tags`.
+//! Tags are frozen: append, never renumber.
 
-use wire::{Decode, Encode, Reader, WireError};
+use chord::ChordMsg;
+use kts::KtsMsg;
 
 use crate::payload::{Payload, UserCmd};
 
-impl Encode for UserCmd {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            UserCmd::OpenDoc { doc, initial } => {
-                out.push(0);
-                doc.encode(out);
-                initial.encode(out);
-            }
-            UserCmd::Edit { doc, new_text } => {
-                out.push(1);
-                doc.encode(out);
-                new_text.encode(out);
-            }
-            UserCmd::Sync { doc } => {
-                out.push(2);
-                doc.encode(out);
-            }
-            UserCmd::Leave => out.push(3),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            UserCmd::OpenDoc { doc, initial } => doc.encoded_len() + initial.encoded_len(),
-            UserCmd::Edit { doc, new_text } => doc.encoded_len() + new_text.encoded_len(),
-            UserCmd::Sync { doc } => doc.encoded_len(),
-            UserCmd::Leave => 0,
-        }
-    }
+wire::codec_table! {
+    UserCmd;
+    0 => OpenDoc { doc: String, initial: String },
+    1 => Edit { doc: String, new_text: String },
+    2 => Sync { doc: String },
+    3 => Leave,
 }
 
-impl Decode for UserCmd {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        Ok(match tag {
-            0 => UserCmd::OpenDoc {
-                doc: String::decode(r)?,
-                initial: String::decode(r)?,
-            },
-            1 => UserCmd::Edit {
-                doc: String::decode(r)?,
-                new_text: String::decode(r)?,
-            },
-            2 => UserCmd::Sync {
-                doc: String::decode(r)?,
-            },
-            3 => UserCmd::Leave,
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "UserCmd",
-                    tag,
-                })
-            }
-        })
-    }
-}
-
-impl Encode for Payload {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Payload::Chord(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            Payload::Kts(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-            Payload::Cmd(c) => {
-                out.push(2);
-                c.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Payload::Chord(m) => m.encoded_len(),
-            Payload::Kts(m) => m.encoded_len(),
-            Payload::Cmd(c) => c.encoded_len(),
-        }
-    }
-}
-
-impl Decode for Payload {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        Ok(match tag {
-            0 => Payload::Chord(chord::ChordMsg::decode(r)?),
-            1 => Payload::Kts(kts::KtsMsg::decode(r)?),
-            2 => Payload::Cmd(UserCmd::decode(r)?),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "Payload",
-                    tag,
-                })
-            }
-        })
-    }
+wire::codec_table! {
+    Payload;
+    0 => Chord(msg: ChordMsg),
+    1 => Kts(msg: KtsMsg),
+    2 => Cmd(cmd: UserCmd),
 }
 
 impl Payload {
@@ -129,9 +45,10 @@ impl Payload {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use chord::{ChordMsg, Id, NodeRef, OpId};
-    use kts::{KtsMsg, ReqId};
+    use chord::{Id, NodeRef, OpId};
+    use kts::ReqId;
     use simnet::NodeId;
+    use wire::{Decode, Encode, Tagged, WireError};
 
     fn rt(p: Payload) {
         let buf = p.to_wire();
@@ -185,13 +102,23 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(matches!(
-            Payload::from_wire(&[3]),
-            Err(WireError::BadTag { .. })
-        ));
-        assert!(matches!(
-            UserCmd::from_wire(&[4]),
-            Err(WireError::BadTag { .. })
-        ));
+        for tag in (0..=255).filter(|t| !Payload::TAGS.contains(t)) {
+            assert!(matches!(
+                Payload::from_wire(&[tag]),
+                Err(WireError::BadTag {
+                    what: "Payload",
+                    ..
+                })
+            ));
+        }
+        for tag in (0..=255).filter(|t| !UserCmd::TAGS.contains(t)) {
+            assert!(matches!(
+                UserCmd::from_wire(&[tag]),
+                Err(WireError::BadTag {
+                    what: "UserCmd",
+                    ..
+                })
+            ));
+        }
     }
 }

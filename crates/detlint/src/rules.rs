@@ -78,7 +78,7 @@ Err, never panic (PR 3). Message handlers (`fn on_*`) sit behind it — a
 panic there lets one malformed or unexpected message take down a node,
 turning a protocol hiccup into a crash fault.
 
-Scope: all of crates/wire/src/{varint,codec,frame,proto}.rs, plus the
+Scope: all of crates/wire/src/{varint,codec,frame,proto,table}.rs, plus the
 bodies of functions whose names start with `on_` in every scanned crate.
 Flagged: .unwrap(), .expect(, panic!, unreachable!, todo!,
 unimplemented!, and literal/range slice indexing like buf[..4] or s[0]
@@ -93,9 +93,10 @@ the operation is infallible by construction, annotate with
         summary: "codec/envelope tag drift against crates/wire/TAGS.lock",
         explain: "\
 Wire tags are frozen: append new variants, never renumber. detlint
-extracts every integer tag arm from the Decode impls in
-crates/wire/src/{codec,proto}.rs and crates/core/src/wire_impls.rs
-(plus the literal tags on the Encode side as a cross-check) and diffs
+extracts every tag from the codec_table! rows and the hand-written
+Decode impls in crates/wire/src/{codec,proto}.rs,
+crates/core/src/wire_impls.rs and crates/store/src/entry.rs (plus the
+literal tags on a hand-written Encode side as a cross-check) and diffs
 them against the committed crates/wire/TAGS.lock manifest. A tag that is
 added, removed, renumbered, renamed, or duplicated without touching the
 lock file fails the build — silent renumbering is how mixed-version
@@ -216,6 +217,7 @@ pub fn scan_file(rel: &str, src: &str) -> Vec<Finding> {
             | "crates/wire/src/codec.rs"
             | "crates/wire/src/frame.rs"
             | "crates/wire/src/proto.rs"
+            | "crates/wire/src/table.rs"
     );
     let handler_ranges = lexer::fn_body_ranges(&masked, "on_");
 

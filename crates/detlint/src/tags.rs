@@ -1,17 +1,21 @@
-//! WIRE-TAGS: extract every frozen codec/envelope tag from the Encode /
-//! Decode impls and diff them against the committed manifest
-//! (`crates/wire/TAGS.lock`).
+//! WIRE-TAGS: extract every frozen codec/envelope tag from the codec
+//! tables and the hand-written Encode / Decode impls, and diff them against
+//! the committed manifest (`crates/wire/TAGS.lock`).
 //!
 //! Extraction is syntactic but runs on masked, test-stripped source, so
 //! doc examples and the frozen-encodings test vectors never leak in:
 //!
-//! * inside `impl Decode for T` blocks, every match arm of the form
-//!   `<int> => <variant-expr>` is a (tag, variant) pair — the decode side
-//!   names both the number and the variant, so it is the source of truth;
-//! * inside `impl Encode for T` blocks, every `out.push(<int>)` and every
-//!   `<pat> => <int>` arm contributes to a tag multiset cross-checked
-//!   against the decode side (only when the encode side has literal tags
-//!   at all — primitive impls encode computed bytes).
+//! * inside a `codec_table!` invocation, the first identifier names the
+//!   type and every row of the form `<int> => <Variant> …` is a (tag,
+//!   variant) pair — the table generates both directions, so its rows are
+//!   the source of truth;
+//! * inside hand-written `impl Decode for T` blocks, every match arm of the
+//!   form `<int> => <variant-expr>` is a (tag, variant) pair — the decode
+//!   side names both the number and the variant;
+//! * inside hand-written `impl Encode for T` blocks, every `out.push(<int>)`
+//!   and every `<pat> => <int>` arm contributes to a tag multiset
+//!   cross-checked against the decode side (only when the encode side has
+//!   literal tags at all — primitive impls encode computed bytes).
 
 use std::collections::BTreeMap;
 
@@ -24,6 +28,7 @@ pub const TAG_FILES: &[&str] = &[
     "crates/wire/src/codec.rs",
     "crates/wire/src/proto.rs",
     "crates/core/src/wire_impls.rs",
+    "crates/store/src/entry.rs",
 ];
 
 /// Manifest location relative to the workspace root.
@@ -67,7 +72,8 @@ fn impl_header(line: &str) -> Option<(&'static str, String)> {
     None
 }
 
-/// Extract decode tags and encode tag multisets from one masked source.
+/// Extract decode tags (table rows and decode arms) and encode tag
+/// multisets from one masked source.
 pub fn extract(
     rel: &str,
     masked: &str,
@@ -84,6 +90,21 @@ pub fn extract(
             if let Some(h) = impl_header(line) {
                 cur = Some(h);
                 depth_at_impl = depth;
+            } else if line.contains("codec_table!") {
+                cur = Some(("Table", String::new()));
+                depth_at_impl = depth;
+            }
+        }
+        // A table's type is its first identifier, on the invocation line or
+        // a later one.
+        if let Some(("Table", ty)) = &mut cur {
+            if ty.is_empty() {
+                let text = line.rsplit("codec_table!").next().unwrap_or(line);
+                *ty = text
+                    .trim_start_matches(|c: char| c.is_whitespace() || c == '{')
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
             }
         }
         let opens = line.bytes().filter(|&b| b == b'{').count();
@@ -91,8 +112,8 @@ pub fn extract(
         if let Some((kind, ty)) = cur.clone() {
             let key = (rel.to_string(), ty.clone());
             match kind {
-                "Decode" => {
-                    // `<int> => <expr>` arms.
+                "Decode" | "Table" => {
+                    // `<int> => <expr>` arms and rows.
                     let t = line.trim_start();
                     if let Some((pat, rest)) = t.split_once("=>") {
                         if let Ok(tag) = pat.trim().parse::<u64>() {

@@ -171,13 +171,18 @@ fn unused_allow_is_an_error_under_deny() {
 // WIRE-TAGS freeze
 // ---------------------------------------------------------------------------
 
-#[test]
-fn wire_tags_roundtrip_then_renumber_fails() {
-    let proto = fixture("wire_proto_mini.rs");
-    let root = mini_workspace(
-        "detlint-tags",
-        &[("crates/wire/src/proto.rs", proto.as_str())],
-    );
+/// The TAGS.lock freeze over one codec file: a freshly generated lock is
+/// clean, and a renumbered lock, a vanished locked tag or an unlocked
+/// code-side addition fails. `extended` is `proto` with tag `2 = Gone`
+/// added; `addition_findings` is how many findings that addition raises.
+/// Leaves the fresh lock in place and returns the workspace root.
+fn assert_lock_freeze(
+    name: &str,
+    proto: &str,
+    extended: &str,
+    addition_findings: usize,
+) -> PathBuf {
+    let root = mini_workspace(name, &[("crates/wire/src/proto.rs", proto)]);
 
     // Freshly generated manifest: scan is clean.
     let text = write_tags(&root).unwrap();
@@ -204,16 +209,14 @@ fn wire_tags_roundtrip_then_renumber_fails() {
 
     // And a code-side addition without regenerating the lock.
     fs::write(root.join("crates/wire/TAGS.lock"), &text).unwrap();
-    let extended = proto.replace(
-        "            1 => Ok(Msg::Pong),",
-        "            1 => Ok(Msg::Pong),\n            2 => Ok(Msg::Gone),",
-    );
     assert_ne!(extended, proto);
     fs::write(root.join("crates/wire/src/proto.rs"), extended).unwrap();
     let report = scan_root(&root, &Options::default()).unwrap();
-    // Two findings: the unlocked tag itself, plus the encode/decode
-    // cross-check (the encoder still never emits tag 2).
-    assert_eq!(count(&report.findings, "WIRE-TAGS"), 2, "{report:#?}");
+    assert_eq!(
+        count(&report.findings, "WIRE-TAGS"),
+        addition_findings,
+        "{report:#?}"
+    );
     assert!(
         report
             .findings
@@ -221,6 +224,19 @@ fn wire_tags_roundtrip_then_renumber_fails() {
             .any(|f| f.msg.contains("not in TAGS.lock")),
         "{report:#?}"
     );
+    root
+}
+
+#[test]
+fn wire_tags_roundtrip_then_renumber_fails() {
+    let proto = fixture("wire_proto_mini.rs");
+    let extended = proto.replace(
+        "            1 => Ok(Msg::Pong),",
+        "            1 => Ok(Msg::Pong),\n            2 => Ok(Msg::Gone),",
+    );
+    // Two findings for the addition: the unlocked tag itself, plus the
+    // encode/decode cross-check (the encoder still never emits tag 2).
+    let root = assert_lock_freeze("detlint-tags", &proto, &extended, 2);
 
     // Encode/decode cross-check: pushing a tag the decoder never matches.
     let skewed = proto.replace("Msg::Pong => out.push(1)", "Msg::Pong => out.push(9)");
@@ -232,6 +248,31 @@ fn wire_tags_roundtrip_then_renumber_fails() {
             .findings
             .iter()
             .any(|f| f.rule == "WIRE-TAGS" && f.msg.contains("disagree")),
+        "{report:#?}"
+    );
+}
+
+#[test]
+fn wire_tags_table_rows_are_frozen_and_duplicates_fail() {
+    let proto = fixture("wire_table_mini.rs");
+    let extended = proto.replace(
+        "    1 => Pong { seq: u64 },",
+        "    1 => Pong { seq: u64 },\n    2 => Gone,",
+    );
+    // One finding for the addition: a table row generates both
+    // directions, so there is no encode side to disagree.
+    let root = assert_lock_freeze("detlint-tags-table", &proto, &extended, 1);
+
+    // A tag repeated inside one table is reported.
+    let duplicated = proto.replace("1 => Pong", "0 => Pong");
+    assert_ne!(duplicated, proto);
+    fs::write(root.join("crates/wire/src/proto.rs"), duplicated).unwrap();
+    let report = scan_root(&root, &Options::default()).unwrap();
+    assert!(
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == "WIRE-TAGS" && f.msg.contains("duplicate tag 0 for Msg")),
         "{report:#?}"
     );
 }

@@ -16,7 +16,7 @@
 use bytes::Bytes;
 use chord::{sha1, DocName, Id};
 use kts::HandoffEntry;
-use wire::{Decode, Encode, Reader, WireError};
+use wire::Encode;
 
 /// One durable state transition of a P2P-LTR peer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,124 +84,18 @@ pub enum StoreEntry {
     },
 }
 
-// Entry tags are part of the on-disk format: append-only, never renumber.
-const TAG_PUT_PRIMARY: u8 = 0;
-const TAG_PUT_REPLICA: u8 = 1;
-const TAG_DEL_PRIMARY: u8 = 2;
-const TAG_DEL_REPLICA: u8 = 3;
-const TAG_KTS_AUTH: u8 = 4;
-const TAG_KTS_BACKUP: u8 = 5;
-const TAG_KTS_DEMOTE: u8 = 6;
-const TAG_DOC_OPEN: u8 = 7;
-const TAG_FENCE_FLOOR: u8 = 8;
-
-impl Encode for StoreEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            StoreEntry::PutPrimary { key, value } => {
-                out.push(TAG_PUT_PRIMARY);
-                key.encode(out);
-                value.encode(out);
-            }
-            StoreEntry::PutReplica { key, value } => {
-                out.push(TAG_PUT_REPLICA);
-                key.encode(out);
-                value.encode(out);
-            }
-            StoreEntry::DelPrimary { key } => {
-                out.push(TAG_DEL_PRIMARY);
-                key.encode(out);
-            }
-            StoreEntry::DelReplica { key } => {
-                out.push(TAG_DEL_REPLICA);
-                key.encode(out);
-            }
-            StoreEntry::KtsAuth { entry } => {
-                out.push(TAG_KTS_AUTH);
-                entry.encode(out);
-            }
-            StoreEntry::KtsBackup { entry } => {
-                out.push(TAG_KTS_BACKUP);
-                entry.encode(out);
-            }
-            StoreEntry::KtsDemote { key } => {
-                out.push(TAG_KTS_DEMOTE);
-                key.encode(out);
-            }
-            StoreEntry::DocOpen { doc, initial } => {
-                out.push(TAG_DOC_OPEN);
-                doc.encode(out);
-                initial.encode(out);
-            }
-            StoreEntry::FenceFloor { key, floor, origin } => {
-                out.push(TAG_FENCE_FLOOR);
-                key.encode(out);
-                floor.encode(out);
-                origin.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            StoreEntry::PutPrimary { key, value } | StoreEntry::PutReplica { key, value } => {
-                key.encoded_len() + value.encoded_len()
-            }
-            StoreEntry::DelPrimary { key }
-            | StoreEntry::DelReplica { key }
-            | StoreEntry::KtsDemote { key } => key.encoded_len(),
-            StoreEntry::KtsAuth { entry } | StoreEntry::KtsBackup { entry } => entry.encoded_len(),
-            StoreEntry::DocOpen { doc, initial } => doc.encoded_len() + initial.encoded_len(),
-            StoreEntry::FenceFloor { key, floor, origin } => {
-                key.encoded_len() + floor.encoded_len() + origin.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for StoreEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.read_u8()? {
-            TAG_PUT_PRIMARY => StoreEntry::PutPrimary {
-                key: Id::decode(r)?,
-                value: Bytes::decode(r)?,
-            },
-            TAG_PUT_REPLICA => StoreEntry::PutReplica {
-                key: Id::decode(r)?,
-                value: Bytes::decode(r)?,
-            },
-            TAG_DEL_PRIMARY => StoreEntry::DelPrimary {
-                key: Id::decode(r)?,
-            },
-            TAG_DEL_REPLICA => StoreEntry::DelReplica {
-                key: Id::decode(r)?,
-            },
-            TAG_KTS_AUTH => StoreEntry::KtsAuth {
-                entry: HandoffEntry::decode(r)?,
-            },
-            TAG_KTS_BACKUP => StoreEntry::KtsBackup {
-                entry: HandoffEntry::decode(r)?,
-            },
-            TAG_KTS_DEMOTE => StoreEntry::KtsDemote {
-                key: Id::decode(r)?,
-            },
-            TAG_DOC_OPEN => StoreEntry::DocOpen {
-                doc: DocName::decode(r)?,
-                initial: String::decode(r)?,
-            },
-            TAG_FENCE_FLOOR => StoreEntry::FenceFloor {
-                key: Id::decode(r)?,
-                floor: u64::decode(r)?,
-                origin: u64::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "StoreEntry",
-                    tag,
-                })
-            }
-        })
-    }
+// Entry tags are part of the on-disk format: append rows, never renumber.
+wire::codec_table! {
+    StoreEntry;
+    0 => PutPrimary { key: Id, value: Bytes },
+    1 => PutReplica { key: Id, value: Bytes },
+    2 => DelPrimary { key: Id },
+    3 => DelReplica { key: Id },
+    4 => KtsAuth { entry: HandoffEntry },
+    5 => KtsBackup { entry: HandoffEntry },
+    6 => KtsDemote { key: Id },
+    7 => DocOpen { doc: DocName, initial: String },
+    8 => FenceFloor { key: Id, floor: u64, origin: u64 },
 }
 
 impl StoreEntry {
@@ -214,6 +108,7 @@ impl StoreEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wire::{Decode, Tagged, WireError};
 
     pub(crate) fn samples() -> Vec<StoreEntry> {
         vec![
@@ -303,10 +198,15 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        assert!(matches!(
-            StoreEntry::from_wire(&[0xEE]),
-            Err(WireError::BadTag { .. })
-        ));
+        for tag in (0..=255).filter(|t| !StoreEntry::TAGS.contains(t)) {
+            assert!(matches!(
+                StoreEntry::from_wire(&[tag]),
+                Err(WireError::BadTag {
+                    what: "StoreEntry",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

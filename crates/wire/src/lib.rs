@@ -36,6 +36,7 @@ pub mod frame;
 pub mod proto;
 pub mod runner;
 pub mod runtime;
+pub mod table;
 pub mod transport;
 pub mod varint;
 
@@ -47,6 +48,7 @@ pub use frame::{
 pub use proto::{chord_class, kts_class};
 pub use runner::WireNet;
 pub use runtime::{RtHub, RtTransport, RuntimeConfig};
+pub use table::Tagged;
 pub use transport::{
     MemHub, MemTransport, Readiness, TcpHub, TcpTransport, Transport, TransportError,
 };
