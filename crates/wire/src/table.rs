@@ -6,8 +6,11 @@
 //! when the table names one, a class-label function. A field therefore
 //! cannot be added to one direction and forgotten in another, and detlint's
 //! WIRE-TAGS rule reads the frozen tags straight from the rows.
+//!
+//! [`codec_table!`]: crate::codec_table
 
-/// The tag list of a type whose codec a [`codec_table!`] generated.
+/// The tag list of a type whose codec a [`codec_table!`](crate::codec_table)
+/// generated.
 pub trait Tagged {
     /// Every tag the decoder accepts, in row order.
     const TAGS: &'static [u8];
