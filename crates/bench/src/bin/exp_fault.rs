@@ -47,6 +47,7 @@ fn render_faults_json(quick: bool, outcomes: &[ScenarioOutcome]) -> String {
              \"events\": {}, \"crashes\": {}, \"restarts\": {}, \
              \"faults_dropped\": {}, \"faults_duplicated\": {}, \
              \"faults_reordered\": {}, \"faults_cut\": {}, \
+             \"push_sent\": {}, \"push_integrated\": {}, \
              \"continuity\": {}, \"total_order\": {}, \"converged\": {}, \
              \"equivocation_free\": {}, \"epoch_monotonic\": {}, \
              \"pass\": {}}}{}",
@@ -64,6 +65,8 @@ fn render_faults_json(quick: bool, outcomes: &[ScenarioOutcome]) -> String {
             o.faults_duplicated,
             o.faults_reordered,
             o.faults_cut,
+            o.push_sent,
+            o.push_integrated,
             o.continuity,
             o.total_order,
             o.converged,

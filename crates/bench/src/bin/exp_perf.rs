@@ -18,7 +18,9 @@
 //! (simulator events executed), `stamp_p50_ms`/`stamp_p99_ms` (end-to-end
 //! save→ack latency in **simulated** milliseconds), `wall_ms`,
 //! `wire_bytes` (total bytes-on-wire through the real binary codec, frame
-//! overhead included) with a `wire_bytes_per_class` breakdown, and the
+//! overhead included) with a `wire_bytes_per_class` breakdown,
+//! `push_sent`/`push_integrated` (records pushed to watching replicas, and
+//! pushed records integrated on arrival), and the
 //! correctness oracles (`continuity`, `converged`) — a perf number from a
 //! broken run is worthless.
 //!
@@ -91,6 +93,8 @@ struct Outcome {
     wire_bytes: u64,
     /// `(class, bytes)` in descending byte order.
     wire_classes: Vec<(String, u64)>,
+    push_sent: u64,
+    push_integrated: u64,
     continuity: bool,
     converged: bool,
 }
@@ -293,6 +297,8 @@ fn run_scenario(sc: &Scenario) -> Outcome {
         stamp_p99_ms: stamp.p99,
         wire_bytes: m.counter("wire.bytes.total"),
         wire_classes,
+        push_sent: m.counter("ltr.push_sent"),
+        push_integrated: m.counter("ltr.push_integrated"),
         continuity: cont.is_clean(),
         converged: conv.is_converged(),
     }
@@ -328,6 +334,7 @@ fn render_json(quick: bool, outcomes: &[Outcome]) -> String {
              \"events\": {}, \"events_per_sec\": {:.1}, \
              \"stamp_p50_ms\": {:.3}, \"stamp_p99_ms\": {:.3}, \
              \"wire_bytes\": {}, \"wire_bytes_per_class\": {{{}}}, \
+             \"push_sent\": {}, \"push_integrated\": {}, \
              \"continuity\": {}, \"converged\": {}}}{}\n",
             json_escape(&o.name),
             o.peers,
@@ -350,6 +357,8 @@ fn render_json(quick: bool, outcomes: &[Outcome]) -> String {
                 .map(|(c, b)| format!("\"{}\": {}", json_escape(c), b))
                 .collect::<Vec<_>>()
                 .join(", "),
+            o.push_sent,
+            o.push_integrated,
             o.continuity,
             o.converged,
             comma,

@@ -58,8 +58,12 @@ impl ChordNode {
             },
             None => return,
         };
-        // The round completed: the successor answered.
+        // The round completed: the successor answered, which proves it
+        // alive. Clear any suspicion of it, or the rebuild below would
+        // drop the very node that answered and could collapse the list
+        // to ourselves — making this node the owner of every key.
         self.succ_fails = 0;
+        self.suspects.remove(&asked.addr);
         // Adopt the successor's predecessor if it sits between us.
         let mut new_succ = asked;
         if let Some(p) = pred {

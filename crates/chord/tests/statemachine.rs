@@ -320,6 +320,48 @@ fn stabilize_timer_rearms_and_probes_successor() {
     assert!(probed);
 }
 
+/// A stabilize reply proves the successor that sent it alive. Even when
+/// an earlier timeout left it suspect, it must stay in the successor
+/// list: dropping it collapses the list to the node itself, which then
+/// owns every key.
+#[test]
+fn suspect_successor_that_answers_stabilize_stays_in_list() {
+    let me = nref(0, 1000);
+    let pred = nref(1, 400);
+    let succ = nref(2, 2000);
+    let mut n = wired_node(me, pred, succ);
+    // A get routed to the successor times out: the successor turns suspect.
+    let now = Time::from_millis(100);
+    let (get, acts) = n.get(now, Id(1500));
+    assert!(sends(&acts)
+        .into_iter()
+        .any(|(to, m)| to == succ.addr && matches!(m, ChordMsg::Get { .. })));
+    let _ = n.on_timer(now, ChordTimer::OpTimeout(get));
+    // The next stabilize round still asks the successor, which answers.
+    let acts = n.on_timer(now, ChordTimer::Stabilize);
+    let op = sends(&acts)
+        .into_iter()
+        .find_map(|(to, m)| match m {
+            ChordMsg::GetPredecessor { op } if to == succ.addr => Some(*op),
+            _ => None,
+        })
+        .expect("stabilize probes the successor");
+    let acts = n.handle(
+        now,
+        succ.addr,
+        ChordMsg::PredecessorIs {
+            op,
+            pred: Some(me),
+            succ_list: vec![me],
+        },
+    );
+    assert_eq!(n.successor_list(), [succ], "the answering successor stays");
+    assert_ne!(n.successor().id, me.id, "the list never collapses to self");
+    assert!(sends(&acts)
+        .into_iter()
+        .any(|(to, m)| to == succ.addr && matches!(m, ChordMsg::Notify { .. })));
+}
+
 #[test]
 fn pred_failure_needs_consecutive_ping_timeouts() {
     // One lost ping must NOT drop a live predecessor (under message loss

@@ -112,6 +112,21 @@ pub(crate) enum OpPurpose {
 /// Master-side publish fan-out in progress.
 pub(crate) struct PublishCtx {
     pub tracker: PublishTracker,
+    /// `ht(doc)` of the published record.
+    pub key: chord::Id,
+    /// The granted timestamp.
+    pub ts: u64,
+    /// The encoded `LogRecord`, pushed to the key's watchers on success.
+    pub record: Bytes,
+    /// The author, who gets `Granted` instead of a push.
+    pub author: NodeId,
+}
+
+/// A replica's standing read on a key this node masters: the handle of
+/// its latest `LastTs` probe and when that probe arrived.
+pub(crate) struct Watch {
+    pub op: ReqId,
+    pub seen: Time,
 }
 
 /// Master-side log probe in progress.
@@ -188,6 +203,8 @@ pub(crate) struct NodeCounters {
     pub log_gc_removed: CounterId,
     pub store_appends: CounterId,
     pub store_append_errors: CounterId,
+    pub push_sent: CounterId,
+    pub push_integrated: CounterId,
 }
 
 impl NodeCounters {
@@ -232,6 +249,8 @@ impl NodeCounters {
             log_gc_removed: m.register_counter("log.gc_removed"),
             store_appends: m.register_counter("store.appends"),
             store_append_errors: m.register_counter("store.append_errors"),
+            push_sent: m.register_counter("ltr.push_sent"),
+            push_integrated: m.register_counter("ltr.push_integrated"),
         }
     }
 }
@@ -265,6 +284,10 @@ pub struct LtrNode {
     /// and crash handling may sweep these, so order must be fixed.
     pub(crate) validate_reqs: BTreeMap<ReqId, DocName>,
     pub(crate) lastts_reqs: BTreeMap<ReqId, DocName>,
+    /// Standing reads on the keys this node masters: key → replica →
+    /// its latest probe. A publish of the key pushes its record to every
+    /// fresh watcher. BTreeMap: pushes go out in iteration order.
+    pub(crate) watchers: BTreeMap<chord::Id, BTreeMap<NodeId, Watch>>,
 
     // detlint::allow(DET-HASH, per-op routing looked up by unique id on completion; never iterated)
     pub(crate) chord_ops: HashMap<OpId, OpPurpose>,
@@ -338,6 +361,7 @@ impl LtrNode {
             req_seq: 0,
             validate_reqs: BTreeMap::new(),
             lastts_reqs: BTreeMap::new(),
+            watchers: BTreeMap::new(),
             chord_ops: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
             publishes: HashMap::new(), // detlint::allow(DET-HASH, lookup-only; see field decl)
             probes: HashMap::new(),    // detlint::allow(DET-HASH, lookup-only; see field decl)
@@ -568,6 +592,8 @@ impl LtrNode {
         match timer {
             CoreTimer::Start => self.start_network(ctx),
             CoreTimer::SyncTick => {
+                // Handoffs, leaves and superseded fences all end mastery.
+                self.drop_unmastered_watchers();
                 self.tick_sync(ctx);
                 if let Some(period) = self.cfg.sync_every {
                     self.arm_core_timer(ctx, period, CoreTimer::SyncTick);

@@ -180,15 +180,21 @@ impl LtrNode {
             Some(p) => p.tracker.on_response(resp),
             None => return,
         };
-        if let Some(v) = verdict {
-            self.publishes.remove(&token);
-            let outcome = match v {
-                PublishVerdict::Ok => kts::PublishOutcome::Ok,
-                PublishVerdict::Conflict => kts::PublishOutcome::Conflict,
-                PublishVerdict::Unreachable => kts::PublishOutcome::Unreachable,
-            };
-            let acts = self.kts.publish_done(token, outcome);
-            self.apply_master_actions(ctx, acts);
+        let Some(v) = verdict else {
+            return;
+        };
+        let Some(publish) = self.publishes.remove(&token) else {
+            return;
+        };
+        let outcome = match v {
+            PublishVerdict::Ok => kts::PublishOutcome::Ok,
+            PublishVerdict::Conflict => kts::PublishOutcome::Conflict,
+            PublishVerdict::Unreachable => kts::PublishOutcome::Unreachable,
+        };
+        let acts = self.kts.publish_done(token, outcome);
+        self.apply_master_actions(ctx, acts);
+        if outcome == kts::PublishOutcome::Ok {
+            self.push_record(ctx, publish);
         }
     }
 

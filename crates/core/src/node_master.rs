@@ -1,12 +1,12 @@
-//! Master-side wiring: KTS message handling, publish fan-out, last-ts
-//! backups, and log-probe recovery.
+//! Master-side wiring: KTS message handling, publish fan-out, record
+//! push to standing reads, last-ts backups, and log-probe recovery.
 
-use kts::{KtsMsg, MasterAction, MasterEvent};
+use kts::{KtsMsg, MasterAction, MasterEvent, ReqId};
 use p2plog::{FenceResponse, FenceTracker, FenceVerdict, LogProbe, PublishTracker};
-use simnet::{Ctx, NodeId};
+use simnet::{Ctx, NodeId, Time};
 
 use crate::events::LtrEventKind;
-use crate::node::{FenceCtx, LtrNode, OpPurpose, ProbeCtx, PublishCtx};
+use crate::node::{FenceCtx, LtrNode, OpPurpose, ProbeCtx, PublishCtx, Watch};
 use crate::payload::Payload;
 
 impl LtrNode {
@@ -36,6 +36,7 @@ impl LtrNode {
             } => {
                 let acts = self.kts.on_last_ts(key, op, user, known_ts);
                 self.apply_master_actions(ctx, acts);
+                self.watch(ctx.now(), key, user.addr, op);
             }
             KtsMsg::ReplicateEntry {
                 key,
@@ -74,10 +75,15 @@ impl LtrNode {
             KtsMsg::Failed { op, reason } => self.on_validate_failed(ctx, op, reason),
             KtsMsg::LastTsReply {
                 op,
-                key: _,
+                key,
                 last_ts,
+                record,
             } => {
-                self.on_lastts_reply(ctx, op, last_ts);
+                if record.is_empty() {
+                    self.on_lastts_reply(ctx, op, last_ts);
+                } else {
+                    self.on_pushed_record(ctx, key, last_ts, &record);
+                }
             }
         }
     }
@@ -93,13 +99,14 @@ impl LtrNode {
                 MasterAction::Send(to, msg) => ctx.send(to, Payload::Kts(msg)),
                 MasterAction::BeginPublish {
                     token,
-                    key: _,
+                    key,
                     key_name,
                     ts,
                     epoch,
                     patch,
+                    user,
                 } => {
-                    self.begin_publish(ctx, token, &key_name, ts, epoch, patch);
+                    self.begin_publish(ctx, token, key, &key_name, ts, epoch, patch, user.addr);
                 }
                 MasterAction::BeginProbe {
                     token,
@@ -160,14 +167,17 @@ impl LtrNode {
     /// fenced grants (`epoch > 0`) stamp the record with the master epoch
     /// and use ranked mode, so a higher-epoch master's record displaces a
     /// superseded rival's at the same slot.
+    #[allow(clippy::too_many_arguments)] // mirrors MasterAction::BeginPublish
     fn begin_publish(
         &mut self,
         ctx: &mut Ctx<'_, Payload>,
         token: u64,
+        key: chord::Id,
         doc: &p2plog::DocName,
         ts: u64,
         epoch: u64,
         patch: bytes::Bytes,
+        user: NodeId,
     ) {
         let n = self.cfg.log.replication;
         // Author for bookkeeping: patches are self-describing.
@@ -182,10 +192,74 @@ impl LtrNode {
         let tracker = PublishTracker::new(n, self.cfg.log.ack_policy);
         // Register the tracker *before* issuing puts: a put to a key we own
         // completes synchronously.
-        self.publishes.insert(token, PublishCtx { tracker });
+        self.publishes.insert(
+            token,
+            PublishCtx {
+                tracker,
+                key,
+                ts,
+                record: bytes.clone(),
+                author: user,
+            },
+        );
         ctx.metrics().incr_id(self.c().log_publishes);
-        for key in p2plog::log_locations_iter(n, doc, ts) {
-            self.issue_log_put(ctx, token, key, bytes.clone(), mode);
+        for loc in p2plog::log_locations_iter(n, doc, ts) {
+            self.issue_log_put(ctx, token, loc, bytes.clone(), mode);
+        }
+    }
+
+    /// Register a `LastTs` probe as a standing read on `key`, when this
+    /// node masters the key and anti-entropy is on (a push is only ever a
+    /// shortcut ahead of the poll, never a replacement for it).
+    fn watch(&mut self, now: Time, key: chord::Id, replica: NodeId, op: ReqId) {
+        if self.cfg.sync_every.is_some() && self.kts.masters(key) {
+            self.watchers
+                .entry(key)
+                .or_default()
+                .insert(replica, Watch { op, seen: now });
+        }
+    }
+
+    /// Forget the standing reads on keys this node no longer masters
+    /// (run on each sync tick). Until then a key handed off mid-publish
+    /// can still push that publish's record, which is as durable as the
+    /// `Granted` sent with it.
+    pub(crate) fn drop_unmastered_watchers(&mut self) {
+        let kts = &self.kts;
+        self.watchers.retain(|key, _| kts.masters(*key));
+    }
+
+    /// A publish landed: push its record to every replica watching the
+    /// key, so each integrates it one hop after the grant instead of at
+    /// its next poll. A watcher not heard from in two sync periods is
+    /// dropped first; the author is skipped (it gets `Granted`).
+    pub(crate) fn push_record(&mut self, ctx: &mut Ctx<'_, Payload>, publish: PublishCtx) {
+        let Some(period) = self.cfg.sync_every else {
+            return;
+        };
+        let c = self.c();
+        let Some(watchers) = self.watchers.get_mut(&publish.key) else {
+            return;
+        };
+        let now = ctx.now();
+        watchers.retain(|_, w| now.since(w.seen) <= period * 2);
+        for (&to, w) in watchers.iter() {
+            if to == publish.author {
+                continue;
+            }
+            ctx.send(
+                to,
+                Payload::Kts(KtsMsg::LastTsReply {
+                    op: w.op,
+                    key: publish.key,
+                    last_ts: publish.ts,
+                    record: publish.record.clone(),
+                }),
+            );
+            ctx.metrics().incr_id(c.push_sent);
+        }
+        if watchers.is_empty() {
+            self.watchers.remove(&publish.key);
         }
     }
 

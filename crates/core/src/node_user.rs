@@ -12,6 +12,16 @@
 //!
 //! Plus anti-entropy: idle replicas periodically ask the master for
 //! `last_ts(key)` and pull what they miss.
+//!
+//! Each such `LastTs` probe is also a **standing read**: the master keeps
+//! the asker as a watcher of the key for two sync periods, and when a
+//! publish of the key lands it pushes the record to every watcher except
+//! the author, as a `LastTsReply` that carries the record. An idle replica
+//! one record behind integrates the push at once, so a validated patch
+//! reaches the other replicas one hop after its grant rather than about
+//! half a sync period later; a replica further behind starts a retrieval;
+//! any other push is dropped and the periodic poll catches up. Without a
+//! sync period there is no poll, so no standing read and no push.
 
 use bytes::Bytes;
 
@@ -733,6 +743,36 @@ impl LtrNode {
                 known_ts,
             }),
         );
+    }
+
+    /// A record the master pushed to this replica's standing read. The
+    /// next record in order integrates at once, through the same epoch
+    /// floor check as a retrieved one; a record further ahead starts a
+    /// retrieval up to it. Anything else (a busy document, a duplicate,
+    /// a stale or reordered push, a rejected record) is dropped: the
+    /// next poll catches up.
+    pub(crate) fn on_pushed_record(
+        &mut self,
+        ctx: &mut Ctx<'_, Payload>,
+        key: chord::Id,
+        ts: u64,
+        record: &Bytes,
+    ) {
+        let Some(state) = self.docs.values().find(|d| d.key == key) else {
+            return;
+        };
+        if state.phase != UserPhase::Idle || state.inflight.is_some() {
+            return;
+        }
+        let doc = state.name.clone();
+        let next = state.replica.ts + 1;
+        if ts == next {
+            if self.integrate_record(ctx, &doc, ts, record) {
+                ctx.metrics().incr_id(self.c().push_integrated);
+            }
+        } else if ts > next {
+            self.begin_retrieval(ctx, &doc, ts, false);
+        }
     }
 
     /// `LastTsReply`: pull anything we miss.

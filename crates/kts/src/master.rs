@@ -49,6 +49,8 @@ pub enum MasterAction {
         epoch: u64,
         /// The patch to store.
         patch: Bytes,
+        /// The requesting user, who gets `Granted` when the publish lands.
+        user: NodeRef,
     },
     /// Recover `last_ts(key)` by probing the log (gallop + binary search),
     /// then call [`KtsMaster::probe_done`].
@@ -319,6 +321,11 @@ impl KtsMaster {
         self.entries.iter().map(|(k, e)| (*k, e.last_ts)).collect()
     }
 
+    /// True when this node holds the authoritative entry for `key`.
+    pub fn masters(&self, key: Id) -> bool {
+        self.entries.contains_key(&key)
+    }
+
     /// Number of authoritative entries.
     pub fn mastered_count(&self) -> usize {
         self.entries.len()
@@ -432,7 +439,12 @@ impl KtsMaster {
         let last_ts = self.last_ts(key);
         self.acts.push(MasterAction::Send(
             user.addr,
-            KtsMsg::LastTsReply { op, key, last_ts },
+            KtsMsg::LastTsReply {
+                op,
+                key,
+                last_ts,
+                record: Bytes::new(),
+            },
         ));
         self.drain()
     }
@@ -599,6 +611,7 @@ impl KtsMaster {
                 ts,
                 epoch,
                 patch: req.patch,
+                user: req.user,
             });
             if self.cfg.fencing {
                 // Pipeline the next slot's fence with this publish: the

@@ -94,7 +94,10 @@ pub enum KtsMsg {
         /// the log instead of serving a stale answer.
         known_ts: u64,
     },
-    /// Master → user: `last_ts(key)` answer.
+    /// Master → user: `last_ts(key)` answer. A `LastTs` also registers a
+    /// standing read: until it goes stale, every record the master
+    /// publishes for the key is pushed to the asker as another reply, with
+    /// `last_ts` the record's timestamp and `record` its encoded bytes.
     LastTsReply {
         /// Echoed handle.
         op: ReqId,
@@ -102,6 +105,10 @@ pub enum KtsMsg {
         key: Id,
         /// Last validated timestamp (0 = none).
         last_ts: u64,
+        /// The encoded `LogRecord` at `last_ts` for a pushed record;
+        /// empty for a plain answer (encoded as an optional trailing
+        /// field).
+        record: Bytes,
     },
     /// Master → Master-key-Succ: backup one `last-ts` entry (the paper's
     /// "replicates the last-ts at the Master-Succ Peer").

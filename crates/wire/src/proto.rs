@@ -261,7 +261,9 @@ crate::codec_table! {
     3 => Redirect { op: ReqId } => "kts.redirect",
     4 => Failed { op: ReqId, reason: ValidateFailure } => "kts.failed",
     5 => LastTs { op: ReqId, key: Id, user: NodeRef, #[trailing] known_ts: u64 } => "kts.last_ts",
-    6 => LastTsReply { op: ReqId, key: Id, last_ts: u64 } => "kts.last_ts_reply",
+    // A plain reply (empty record) keeps its pre-push byte layout.
+    6 => LastTsReply { op: ReqId, key: Id, last_ts: u64, #[trailing] record: Bytes }
+        => "kts.last_ts_reply",
     7 => ReplicateEntry { key: Id, key_name: DocName, last_ts: u64, epoch: u64 }
         => "kts.replicate_entry",
     8 => TableHandoff { entries: Vec<HandoffEntry> } => "kts.table_handoff",
@@ -447,6 +449,15 @@ mod tests {
             op: ReqId(5),
             key: Id(6),
             last_ts: u64::MAX,
+            record: Bytes::new(),
+        });
+        rt_kts(KtsMsg::LastTsReply {
+            op: ReqId(5),
+            key: Id(6),
+            last_ts: 7,
+            record: Bytes::from(
+                LogRecord::new("wiki/Main", 7, 3, Bytes::from_static(b"p")).to_wire(),
+            ),
         });
         rt_kts(KtsMsg::ReplicateEntry {
             key: Id(1),
@@ -520,6 +531,39 @@ mod tests {
                 1, /*op*/
                 0x80, 0x01, /*ts=128*/
                 3     /*epoch*/
+            ]
+        );
+        // A plain last-ts answer keeps the pre-push layout; a pushed
+        // record rides as a trailing length-prefixed field.
+        assert_eq!(
+            KtsMsg::LastTsReply {
+                op: ReqId(5),
+                key: Id(6),
+                last_ts: 2,
+                record: Bytes::new(),
+            }
+            .to_wire(),
+            vec![
+                6, // tag
+                5, // op
+                6, 0, 0, 0, 0, 0, 0, 0, // key LE
+                2, // last_ts
+            ]
+        );
+        assert_eq!(
+            KtsMsg::LastTsReply {
+                op: ReqId(5),
+                key: Id(6),
+                last_ts: 2,
+                record: Bytes::from_static(&[0xAA, 0xBB, 0xCC]),
+            }
+            .to_wire(),
+            vec![
+                6, // tag
+                5, // op
+                6, 0, 0, 0, 0, 0, 0, 0, // key LE
+                2, // last_ts
+                3, 0xAA, 0xBB, 0xCC, // record, length-prefixed
             ]
         );
         // The steady-state anti-entropy round: one root + one ack.

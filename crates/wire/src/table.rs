@@ -24,7 +24,7 @@ pub trait Tagged {
 ///                                      //     Type, <vis> fn class_fn;
 ///     tag => Unit,
 ///     tag => Tuple(binding: FieldType),
-///     tag => Struct { field: FieldType, ..., #[trailing] last: u64 },
+///     tag => Struct { field: FieldType, ..., #[trailing] last: LastType },
 /// }
 /// ```
 ///
@@ -35,8 +35,10 @@ pub trait Tagged {
 /// appears twice in one table is a compile error.
 ///
 /// `#[trailing]` marks an optional last field, added to a variant after
-/// it shipped: it is omitted from the encoding when zero and decodes as
-/// zero when the input ends before it, so older encodings stay valid.
+/// it shipped. Its type must be `Default + PartialEq`: the field is
+/// omitted from the encoding when it equals the default (`0`, an empty
+/// `Bytes`, ...) and decodes as the default when the input ends before
+/// it, so older encodings stay valid.
 ///
 /// ```
 /// use wire::{codec_table, Decode, Encode, Tagged};
@@ -46,6 +48,7 @@ pub trait Tagged {
 ///     Dot,
 ///     Circle(u32),
 ///     Rect { w: u32, h: u32, depth: u64 },
+///     Label { id: u32, text: String },
 /// }
 ///
 /// codec_table! {
@@ -53,14 +56,21 @@ pub trait Tagged {
 ///     0 => Dot => "shape.dot",
 ///     1 => Circle(radius: u32) => "shape.circle",
 ///     2 => Rect { w: u32, h: u32, #[trailing] depth: u64 } => "shape.rect",
+///     3 => Label { id: u32, #[trailing] text: String } => "shape.label",
 /// }
 ///
 /// let flat = Shape::Rect { w: 3, h: 4, depth: 0 };
 /// assert_eq!(flat.to_wire(), [2, 3, 4]);
 /// assert_eq!(Shape::from_wire(&[2, 3, 4]), Ok(flat));
 /// assert_eq!(Shape::from_wire(&[1, 9]), Ok(Shape::Circle(9)));
+/// // An empty trailing string is omitted; a non-empty one is length-prefixed.
+/// let bare = Shape::Label { id: 7, text: String::new() };
+/// assert_eq!(bare.to_wire(), [3, 7]);
+/// assert_eq!(Shape::from_wire(&[3, 7]), Ok(bare));
+/// let named = Shape::Label { id: 7, text: "hi".into() };
+/// assert_eq!(named.to_wire(), [3, 7, 2, b'h', b'i']);
 /// assert_eq!(shape_class(&Shape::Dot), "shape.dot");
-/// assert_eq!(Shape::TAGS, [0, 1, 2]);
+/// assert_eq!(Shape::TAGS, [0, 1, 2, 3]);
 /// ```
 ///
 /// A tag used twice in one table does not compile:
@@ -115,7 +125,7 @@ macro_rules! codec_table {
                         $($( $crate::Encode::encode($tf, out); )*)?
                         $(
                             $( $crate::Encode::encode($sf, out); )*
-                            $( if *$of != 0 {
+                            $( if *$of != <$ot as Default>::default() {
                                 $crate::Encode::encode($of, out);
                             } )?
                         )?
@@ -129,7 +139,11 @@ macro_rules! codec_table {
                         1 $($( + $crate::Encode::encoded_len($tf) )*)?
                         $(
                             $( + $crate::Encode::encoded_len($sf) )*
-                            $( + if *$of != 0 { $crate::Encode::encoded_len($of) } else { 0 } )?
+                            $( + if *$of != <$ot as Default>::default() {
+                                $crate::Encode::encoded_len($of)
+                            } else {
+                                0
+                            } )?
                         )?
                     } )*
                 }
@@ -145,7 +159,7 @@ macro_rules! codec_table {
                         $( {
                             $( $sf: <$st as $crate::Decode>::decode(r)?, )*
                             $( $of: if r.remaining() == 0 {
-                                0
+                                <$ot as Default>::default()
                             } else {
                                 <$ot as $crate::Decode>::decode(r)?
                             }, )?

@@ -239,6 +239,12 @@ fn arb_kts_msg(rng: &mut Rng64) -> KtsMsg {
             op: ReqId(arb_u64(rng)),
             key: arb_id(rng),
             last_ts: arb_u64(rng),
+            // Optional trailing field: a plain answer, or a pushed record.
+            record: if rng.chance(0.5) {
+                Bytes::new()
+            } else {
+                Bytes::from(arb_log_record(rng).to_wire())
+            },
         },
         7 => KtsMsg::ReplicateEntry {
             key: arb_id(rng),

@@ -192,6 +192,12 @@ pub struct ScenarioOutcome {
     pub faults_reordered: u64,
     /// Messages vetoed by a cut link.
     pub faults_cut: u64,
+    /// Records a master pushed to the replicas watching their document
+    /// (`ltr.push_sent`).
+    pub push_sent: u64,
+    /// Pushed records a replica integrated on arrival
+    /// (`ltr.push_integrated`).
+    pub push_integrated: u64,
     /// Continuity oracle (no duplicate or missing timestamps).
     pub continuity: bool,
     /// Total-order oracle (+1 integration steps everywhere).
@@ -453,6 +459,8 @@ pub fn run_scenario_net(
         faults_duplicated: m.counter("faults.duplicated"),
         faults_reordered: m.counter("faults.reordered"),
         faults_cut: m.counter("faults.cut"),
+        push_sent: m.counter("ltr.push_sent"),
+        push_integrated: m.counter("ltr.push_integrated"),
         continuity: report.continuity.is_clean(),
         total_order: report.order.is_clean(),
         converged: report.convergence.is_converged(),
